@@ -17,7 +17,7 @@ import dataclasses
 
 from repro.cost import context as cost_context
 from repro.crypto.drbg import Rng
-from repro.crypto.numtheory import generate_prime, is_probable_prime
+from repro.crypto.numtheory import generate_prime, is_probable_prime, modexp
 from repro.crypto.util import int_to_bytes
 from repro.errors import CryptoError
 
@@ -122,7 +122,7 @@ def generate_keypair(group: DhGroup, rng: Rng) -> DhKeyPair:
     """Sample a private exponent and compute the public value."""
     private = rng.randint(2, group.p - 2)
     _charge_modexp(group)
-    public = pow(group.g, private, group.p)
+    public = modexp(group.g, private, group.p)
     return DhKeyPair(group=group, private=private, public=public)
 
 
@@ -132,5 +132,5 @@ def shared_secret(keypair: DhKeyPair, peer_public: int) -> bytes:
     if not 2 <= peer_public <= group.p - 2:
         raise CryptoError("peer DH public value out of range")
     _charge_modexp(group)
-    secret = pow(peer_public, keypair.private, group.p)
+    secret = modexp(peer_public, keypair.private, group.p)
     return int_to_bytes(secret, (group.bits + 7) // 8)

@@ -12,9 +12,11 @@ from __future__ import annotations
 import dataclasses
 
 from repro.cost import context as cost_context
+from repro.crypto import cache
 from repro.crypto.dh import MODP_1024, DhGroup
 from repro.crypto.drbg import HmacDrbg, Rng
 from repro.crypto.hashes import sha256
+from repro.crypto.numtheory import jacobi, modexp
 from repro.crypto.util import bytes_to_int, int_to_bytes
 from repro.errors import CryptoError
 
@@ -52,7 +54,7 @@ def generate_schnorr_keypair(rng: Rng, group: DhGroup = MODP_1024) -> SchnorrKey
     q = (group.p - 1) // 2  # prime-order subgroup for safe primes
     x = rng.randint(2, q - 1)
     cost_context.charge_normal(cost_context.current_model().modexp_normal(group.bits))
-    y = pow(group.g, x, group.p)
+    y = modexp(group.g, x, group.p)
     return SchnorrKeyPair(group=group, x=x, y=y)
 
 
@@ -75,26 +77,33 @@ def schnorr_sign(key: SchnorrKeyPair, message: bytes) -> SchnorrSignature:
 
     nonce_drbg = HmacDrbg(int_to_bytes(key.x) + sha256(message), b"schnorr-nonce")
     k = (bytes_to_int(nonce_drbg.generate((group.bits + 7) // 8)) % (q - 2)) + 2
-    r = pow(group.g, k, group.p)
+    r = modexp(group.g, k, group.p)
     e = _challenge(group, r, key.y, message) % q
     s = (k + key.x * e) % q
     return SchnorrSignature(e=e, s=s)
 
 
+@cache.memoize_charged(name="schnorr-verify")
 def schnorr_verify(
     group: DhGroup, public: int, message: bytes, signature: SchnorrSignature
 ) -> bool:
-    """Check a signature against a public value on ``group``."""
+    """Check a signature against a public value on ``group``.
+
+    ``public`` must lie in the order-q subgroup: the check below
+    relies on ``y^q == 1``, and without it the holder of ``y`` could
+    also sign for ``p - y``.  For the safe-prime groups used here
+    that membership is exactly a Legendre symbol of 1.
+    """
     model = cost_context.current_model()
     cost_context.charge_normal(model.signature_verify_normal)
     q = (group.p - 1) // 2
     if not (0 < signature.s < q and 0 <= signature.e < q):
         return False
-    if not 1 < public < group.p - 1:
+    if not 1 < public < group.p - 1 or jacobi(public, group.p) != 1:
         return False
     # r' = g^s * y^(-e) = g^(k + xe) * g^(-xe) = g^k
     r = (
-        pow(group.g, signature.s, group.p)
-        * pow(public, q - signature.e, group.p)  # y^q = 1 in the subgroup
+        modexp(group.g, signature.s, group.p)
+        * modexp(public, q - signature.e, group.p)  # y^q = 1 in the subgroup
     ) % group.p
     return _challenge(group, r, public, message) % q == signature.e

@@ -237,6 +237,7 @@ class DirectoryAuthorityProgram(SecureApplicationProgram):
     def restore_state(self, blob: bytes) -> str:
         """Recover sealed state in a freshly launched instance."""
         from repro.crypto.dh import MODP_1024
+        from repro.crypto.numtheory import modexp
         from repro.crypto.schnorr import SchnorrKeyPair
 
         reader = Reader(self.ctx.unseal(blob))
@@ -244,7 +245,7 @@ class DirectoryAuthorityProgram(SecureApplicationProgram):
         x = reader.varint()
         core = DirectoryAuthorityCore(name, self.ctx.rng.fork("restore"))
         core.signing_key = SchnorrKeyPair(
-            group=MODP_1024, x=x, y=pow(MODP_1024.g, x, MODP_1024.p)
+            group=MODP_1024, x=x, y=modexp(MODP_1024.g, x, MODP_1024.p)
         )
         for _ in range(reader.u32()):
             descriptor = RouterDescriptor.decode(reader.varbytes())
