@@ -17,7 +17,9 @@ machinery that removes that overhead without perturbing the model:
   indistinguishable to any :class:`~repro.cost.accountant.CostAccountant`;
 * detection of the optional C-backed AES kernel (the ``cryptography``
   wheel, when the environment ships it) used by
-  :mod:`repro.crypto.aes` for byte-identical fast block operations.
+  :mod:`repro.crypto.aes` for byte-identical fast block operations;
+* :func:`fast_modexp`, OpenSSL's ``BN_mod_exp`` through :mod:`ctypes`,
+  behind :func:`repro.crypto.numtheory.modexp`.
 
 The hard invariant, pinned by ``tests/crypto/test_cache_equivalence``:
 caches change wall-clock time only.  Ciphertexts, MACs, digests and
@@ -30,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+import threading
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.cost import accountant as accountant_mod
@@ -45,6 +48,8 @@ __all__ = [
     "memoize_charged",
     "fast_aes_factory",
     "fast_kernels_available",
+    "fast_modexp",
+    "fast_modexp_available",
 ]
 
 #: Flipped off by the environment for cold-path baseline runs.
@@ -344,3 +349,80 @@ def fast_aes_factory(key: bytes) -> Optional[Tuple[Any, Any]]:
     cipher_cls, algorithms, modes = probed
     cipher = cipher_cls(algorithms.AES(key), modes.ECB())
     return cipher.encryptor(), cipher.decryptor()
+
+
+# ---------------------------------------------------------------------------
+# Fast modexp kernel (OpenSSL BN_mod_exp, same integer as pow)
+# ---------------------------------------------------------------------------
+
+#: Tried in order; CPython's ``_hashlib`` links one of them.
+_LIBCRYPTO_SONAMES = ("libcrypto.so.3", "libcrypto.so.1.1")
+
+#: Output buffer size: moduli wider than 4096 bits take builtin ``pow``.
+_MODEXP_MAX_BYTES = 512
+
+#: ``(BN_bin2bn, BN_mod_exp, BN_bn2binpad, out, lock, r, a, p, m, ctx)``:
+#: three functions, the output buffer, a lock, then scratch named as in
+#: ``BN_mod_exp(r, a, p, m, ctx)``, all living as long as the process.
+#: The library is a ``PyDLL``, so no call releases the GIL.  A thread
+#: can still be switched out *between* the calls of one exponentiation,
+#: so the lock keeps each load, exponentiate, store sequence whole.
+_BN: Optional[Tuple[Any, ...]] = None
+_BN_PROBED = False
+
+
+def _probe_fast_modexp() -> Optional[Tuple[Any, ...]]:
+    global _BN, _BN_PROBED
+    if not _BN_PROBED:
+        _BN_PROBED = True
+        import ctypes  # noqa: PLC0415 -- kept out of the package's import time
+
+        ptr, cint, buf = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
+        for soname in _LIBCRYPTO_SONAMES:
+            try:
+                lib = ctypes.PyDLL(soname)
+                lib.BN_new.argtypes = lib.BN_CTX_new.argtypes = ()
+                lib.BN_new.restype = lib.BN_CTX_new.restype = lib.BN_bin2bn.restype = ptr
+                lib.BN_bin2bn.argtypes = (buf, cint, ptr)
+                lib.BN_mod_exp.argtypes = (ptr,) * 5
+                lib.BN_bn2binpad.argtypes = (ptr, buf, cint)
+                lib.BN_mod_exp.restype = lib.BN_bn2binpad.restype = cint
+            except (OSError, AttributeError):  # no such library or symbol
+                continue
+            scratch = (lib.BN_new(), lib.BN_new(), lib.BN_new(), lib.BN_new(), lib.BN_CTX_new())
+            if all(scratch):
+                functions = (lib.BN_bin2bn, lib.BN_mod_exp, lib.BN_bn2binpad)
+                out = ctypes.create_string_buffer(_MODEXP_MAX_BYTES)
+                _BN = (*functions, out, threading.Lock(), *scratch)
+            break
+    return _BN
+
+
+def fast_modexp_available() -> bool:
+    """True when OpenSSL's ``BN_mod_exp`` kernel can be used."""
+    return _probe_fast_modexp() is not None
+
+
+def fast_modexp(base: int, exp: int, mod: int) -> Optional[int]:
+    """``pow(base, exp, mod)`` by ``BN_mod_exp``, or ``None`` to decline.
+
+    Declines a negative base or exponent, a modulus below 2 or wider
+    than the output buffer, a host with no usable ``libcrypto``, and
+    any failing OpenSSL call; the caller then computes it another way.
+    """
+    bn = _probe_fast_modexp()
+    width = (mod.bit_length() + 7) >> 3
+    if bn is None or width > _MODEXP_MAX_BYTES or base < 0 or exp < 0 or mod < 2:
+        return None
+    bin2bn, mod_exp, bn2binpad, out, lock, r, a, p, m, ctx = bn
+    base_len = (base.bit_length() + 7) >> 3
+    exp_len = (exp.bit_length() + 7) >> 3
+    with lock:
+        ok = (
+            bin2bn(base.to_bytes(base_len, "big"), base_len, a)
+            and bin2bn(exp.to_bytes(exp_len, "big"), exp_len, p)
+            and bin2bn(mod.to_bytes(width, "big"), width, m)
+            and mod_exp(r, a, p, m, ctx)
+            and bn2binpad(r, out, width) == width
+        )
+        return int.from_bytes(out.raw[:width], "big") if ok else None

@@ -2,15 +2,14 @@
 
 Miller-Rabin primality testing, deterministic prime generation from a
 DRBG, extended Euclid, modular inverse, the Jacobi symbol, and
-:func:`modexp`, the one modular exponentiation the DH and Schnorr
-code goes through.  Everything here is deterministic given the
-caller's :class:`~repro.crypto.drbg.Rng`.
+:func:`modexp`, the one modular exponentiation behind DH, Schnorr, RSA
+and the Miller-Rabin witnesses.  Everything here is deterministic given
+the caller's :class:`~repro.crypto.drbg.Rng`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from repro.crypto import cache
 from repro.crypto.drbg import Rng
@@ -43,7 +42,7 @@ def is_probable_prime(n: int, rng: Rng, rounds: int = 40) -> bool:
 
     for _ in range(rounds):
         a = rng.randint(2, n - 2)
-        x = pow(a, d, n)
+        x = modexp(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):
@@ -110,98 +109,13 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-# ---------------------------------------------------------------------------
-# Fixed-base exponentiation for recurring bases (wall-clock only)
-# ---------------------------------------------------------------------------
-
-#: BGMW window: a table holds ``base^(2^(6i))`` for each 6-bit digit of
-#: the modulus width -- 171 powers, about 29 KiB, at 1024 bits.
-_WINDOW = 6
-_DIGIT = (1 << _WINDOW) - 1
-
-#: Tables kept at once.  Least recently used goes first, so the group
-#: generator -- the base of most exponentiations -- is never evicted.
-MAX_TABLES = 32
-
-#: Bound on the record of bases seen once (most are one-off DH peers).
-_MAX_SEEN = 1024
-
-_TABLES: "OrderedDict[Tuple[int, int], List[int]]" = OrderedDict()
-_SEEN: Dict[Tuple[int, int], None] = {}
-#: hits = exponentiations served from a table, misses = tables built.
-_TABLE_STATS = cache.register(_TABLES, "modexp-tables")
-cache.register(_SEEN, "modexp-seen")
-
-
-def _digits(mod: int) -> int:
-    return -(-mod.bit_length() // _WINDOW)
-
-
-def _build_table(base: int, mod: int) -> List[int]:
-    power = base % mod
-    table = [power]
-    for _ in range(_digits(mod) - 1):
-        power = pow(power, 1 << _WINDOW, mod)
-        table.append(power)
-    return table
-
-
-def _fixed_base(table: List[int], exp: int, mod: int) -> int:
-    """BGMW: bucket the table entries by digit, then fold the buckets.
-
-    ``base^exp = prod_d (prod_{e_i = d} T_i)^d``, and the product over
-    ``d = 63 .. 1`` takes two multiplications per digit value with a
-    running partial product -- about 240 multiplications in all at
-    1024 bits, against about 1200 for square-and-multiply.
-    """
-    buckets: List = [None] * (_DIGIT + 1)
-    i = 0
-    while exp:
-        d = exp & _DIGIT
-        if d:
-            prior = buckets[d]
-            buckets[d] = table[i] if prior is None else prior * table[i] % mod
-        exp >>= _WINDOW
-        i += 1
-    run = acc = 1
-    for d in range(_DIGIT, 0, -1):
-        bucket = buckets[d]
-        if bucket is not None:
-            run = run * bucket % mod
-        acc = acc * run % mod
-    return acc % mod
-
-
 def modexp(base: int, exp: int, mod: int) -> int:
-    """``pow(base, exp, mod)``, faster for a base that recurs.
+    """``pow(base, exp, mod)``, by OpenSSL's ``BN_mod_exp`` where it can.
 
-    The first time a ``(base, mod)`` pair is seen this is builtin
-    ``pow``.  From the second time on, a fixed-base table for the pair
-    is built (about the cost of one ``pow`` at 1024 bits) and
-    kept in an LRU of :data:`MAX_TABLES`; each use then costs about a
-    quarter of ``pow``.  Negative exponents, exponents wider than the
-    modulus, moduli below 2 and runs with the crypto caches disabled
-    always take builtin ``pow``.  The result is the same integer on
-    every path.
+    The kernel is :func:`repro.crypto.cache.fast_modexp`.  Builtin
+    ``pow`` serves every call with the crypto caches disabled and every
+    call the kernel declines.  The result is the same integer either
+    way.
     """
-    if not cache.enabled() or exp < 0 or mod < 2:
-        return pow(base, exp, mod)
-    if exp.bit_length() > _WINDOW * _digits(mod):
-        return pow(base, exp, mod)
-    key = (base, mod)
-    table = _TABLES.get(key)
-    if table is not None:
-        _TABLES.move_to_end(key)
-    elif key in _SEEN:
-        del _SEEN[key]
-        table = _TABLES[key] = _build_table(base, mod)
-        _TABLE_STATS.misses += 1
-        if len(_TABLES) > MAX_TABLES:
-            _TABLES.popitem(last=False)
-    else:
-        if len(_SEEN) >= _MAX_SEEN:
-            _SEEN.clear()
-        _SEEN[key] = None
-        return pow(base, exp, mod)
-    _TABLE_STATS.hits += 1
-    return _fixed_base(table, exp, mod)
+    result = cache.fast_modexp(base, exp, mod) if cache.enabled() else None
+    return pow(base, exp, mod) if result is None else result

@@ -13,7 +13,7 @@ import dataclasses
 from repro.cost import context as cost_context
 from repro.crypto.drbg import Rng
 from repro.crypto.hashes import sha256
-from repro.crypto.numtheory import generate_prime, modinv
+from repro.crypto.numtheory import generate_prime, modexp, modinv
 from repro.crypto.util import bytes_to_int, int_to_bytes
 from repro.errors import CryptoError
 
@@ -95,7 +95,7 @@ def rsa_sign(key: RsaPrivateKey, message: bytes) -> bytes:
     value = bytes_to_int(em)
     if value >= key.n:
         raise CryptoError("encoded message out of range")
-    signature = pow(value, key.d, key.n)
+    signature = modexp(value, key.d, key.n)
     return int_to_bytes(signature, (key.n.bit_length() + 7) // 8)
 
 
@@ -108,7 +108,7 @@ def rsa_verify(key: RsaPublicKey, message: bytes, signature: bytes) -> bool:
     value = bytes_to_int(signature)
     if value >= key.n:
         return False
-    recovered = int_to_bytes(pow(value, key.e, key.n), key.byte_length)
+    recovered = int_to_bytes(modexp(value, key.e, key.n), key.byte_length)
     try:
         expected = _emsa_encode(message, key.byte_length)
     except CryptoError:

@@ -423,6 +423,7 @@ def _environment() -> Dict[str, object]:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count() or 1,
         "fast_aes_kernel": cache.fast_kernels_available(),
+        "fast_modexp_kernel": cache.fast_modexp_available(),
     }
 
 
@@ -747,7 +748,8 @@ def format_perf(doc: dict) -> str:
     lines = [
         "Wall-clock fast paths"
         + (" (smoke)" if doc.get("smoke") else "")
-        + f" — fast AES kernel: {doc['env']['fast_aes_kernel']}",
+        + f" — fast AES kernel: {doc['env']['fast_aes_kernel']}"
+        + f", fast modexp kernel: {doc['env'].get('fast_modexp_kernel')}",
         f"{'scenario':<18} {'cold (s)':>10} {'warm (s)':>10} {'speedup':>9}",
     ]
     if doc.get("ablation") == "A13":

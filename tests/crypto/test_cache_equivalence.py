@@ -10,8 +10,9 @@ it may change *wall time only*.  For any input, running a primitive
 must produce byte-identical output and *integer-equal* cost counters.
 These hypothesis properties pin that contract for every cached kernel:
 AES block ops, CTR keystreams, ECB/CBC, HMAC, CMAC, HKDF, and the
-public-key path -- DH, Schnorr signing, and the memoized Schnorr
-verify (accepting and rejecting) over the fixed-base modexp tables.
+public-key path -- DH, Schnorr signing, the memoized Schnorr verify
+(accepting and rejecting), RSA key generation, signing and verifying,
+and Miller-Rabin -- over the ``BN_mod_exp`` modexp kernel.
 
 The record-channel regression at the bottom pins the satellite fix:
 one key-schedule expansion per distinct session key, while
@@ -31,6 +32,8 @@ from repro.crypto.drbg import Rng
 from repro.crypto.kdf import hkdf
 from repro.crypto.mac import aes_cmac, cmac_verify, hmac_sha256, hmac_verify
 from repro.crypto.modes import CtrStream, cbc_encrypt, ecb_decrypt, ecb_encrypt
+from repro.crypto.numtheory import is_probable_prime
+from repro.crypto.rsa import generate_rsa_keypair, rsa_sign, rsa_verify
 from repro.crypto.schnorr import (
     SchnorrKeyPair,
     SchnorrSignature,
@@ -54,11 +57,20 @@ def _measure(op):
     return out, counters
 
 
+@pytest.fixture
+def caches_on():
+    """Caches on for one test, whatever ``REPRO_NO_CRYPTO_CACHE`` says."""
+    prior = cache.enabled()
+    cache.configure(True)
+    yield
+    cache.configure(prior)
+
+
 def assert_equivalent(op, warm_runs=1):
     """Cold, cache-miss and cache-hit runs of ``op`` must agree exactly.
 
     ``warm_runs`` > 1 repeats the hit run, for caches that fill in
-    stages (a modexp table is built on a base's second sighting).
+    stages.
     """
     cache.clear_all()
     with cache.disabled():
@@ -183,6 +195,76 @@ class TestPublicKeyEquivalence:
         assert left == right
 
 
+class _CountingRng(Rng):
+    """An :class:`Rng` that counts its ``randint`` draws (MR witnesses)."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def randint(self, low, high):
+        self.draws += 1
+        return super().randint(low, high)
+
+
+class TestRsaAndPrimalityEquivalence:
+    """The exponentiations routed through the kernel: RSA and Miller-Rabin."""
+
+    RSA_SEEDS = [0, 1, 2, 97]
+    PRIMES = [
+        dh.MODP_1024.p,
+        (dh.MODP_1024.p - 1) // 2,
+        2**127 - 1,
+        2**521 - 1,
+    ]
+    #: Composites with no factor below 200, so trial division passes
+    #: them on to the witnesses: a Carmichael number (211 * 421 * 631),
+    #: a product of two Mersenne primes, and an RSA-style modulus.
+    COMPOSITES = [
+        211 * 421 * 631,
+        (2**61 - 1) * (2**89 - 1),
+        (2**127 - 1) * (2**521 - 1),
+    ]
+
+    @pytest.mark.parametrize("seed", RSA_SEEDS)
+    def test_rsa_keygen_sign_verify(self, seed):
+        message = b"rsa-%d" % seed
+
+        def op():
+            key = generate_rsa_keypair(512, Rng(seed))
+            public = key.public_key()
+            signature = rsa_sign(key, message)
+            tampered = bytes([signature[0] ^ 1]) + signature[1:]
+            return (
+                key,
+                signature,
+                rsa_verify(public, message, signature),
+                rsa_verify(public, message + b"!", signature),
+                rsa_verify(public, message, tampered),
+            )
+
+        assert_equivalent(op)
+        assert op()[2:] == (True, False, False)
+
+    @pytest.mark.parametrize("seed", RSA_SEEDS)
+    def test_miller_rabin(self, seed):
+        def op():
+            verdicts = []
+            for n in self.PRIMES + self.COMPOSITES:
+                rng = _CountingRng(seed)
+                # The next draw pins where the witness stream stopped.
+                verdicts.append((is_probable_prime(n, rng), rng.draws, rng.randbits(64)))
+            return verdicts
+
+        assert_equivalent(op)
+        verdicts = op()
+        for verdict, draws, _ in verdicts[: len(self.PRIMES)]:
+            assert verdict is True
+            assert draws == 40  # every round drew its witness
+        for verdict, _, _ in verdicts[len(self.PRIMES) :]:
+            assert verdict is False
+
+
 class TestRecordChannelKeySchedule:
     """Satellite fix: one key-schedule expansion per session key."""
 
@@ -196,7 +278,7 @@ class TestRecordChannelKeySchedule:
             SecureRecordChannel(keys, "responder"),
         )
 
-    def test_one_expansion_per_session_key(self):
+    def test_one_expansion_per_session_key(self, caches_on):
         cache.clear_all()
         base = key_schedule_stats()
         initiator, responder = self._channel_pair()
@@ -235,7 +317,7 @@ class TestRecordChannelKeySchedule:
 
 
 class TestCachePlumbing:
-    def test_disabled_context_restores(self):
+    def test_disabled_context_restores(self, caches_on):
         assert cache.enabled()
         with cache.disabled():
             assert not cache.enabled()

@@ -35,6 +35,7 @@ class TestRunPerf:
         env = smoke_doc["env"]
         assert env["cpu_count"] >= 1
         assert isinstance(env["fast_aes_kernel"], bool)
+        assert env["fast_modexp_kernel"] is cache.fast_modexp_available()
         assert env["python"]
 
     def test_caches_left_enabled(self, smoke_doc):
