@@ -374,7 +374,6 @@ _BN_PROBED = False
 def _probe_fast_modexp() -> Optional[Tuple[Any, ...]]:
     global _BN, _BN_PROBED
     if not _BN_PROBED:
-        _BN_PROBED = True
         import ctypes  # noqa: PLC0415 -- kept out of the package's import time
 
         ptr, cint, buf = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
@@ -395,6 +394,7 @@ def _probe_fast_modexp() -> Optional[Tuple[Any, ...]]:
                 out = ctypes.create_string_buffer(_MODEXP_MAX_BYTES)
                 _BN = (*functions, out, threading.Lock(), *scratch)
             break
+        _BN_PROBED = True  # last: a concurrent first caller probes too
     return _BN
 
 

@@ -66,23 +66,18 @@ def caches_on():
     cache.configure(prior)
 
 
-def assert_equivalent(op, warm_runs=1):
-    """Cold, cache-miss and cache-hit runs of ``op`` must agree exactly.
-
-    ``warm_runs`` > 1 repeats the hit run, for caches that fill in
-    stages.
-    """
+def assert_equivalent(op):
+    """Cold, cache-miss and cache-hit runs of ``op`` must agree exactly."""
     cache.clear_all()
     with cache.disabled():
         cold_out, cold_counters = _measure(op)
     cache.clear_all()
     miss_out, miss_counters = _measure(op)  # populates the caches
+    hit_out, hit_counters = _measure(op)  # served from them
     assert miss_out == cold_out
+    assert hit_out == cold_out
     assert miss_counters == cold_counters
-    for _ in range(warm_runs):
-        hit_out, hit_counters = _measure(op)  # served from them
-        assert hit_out == cold_out
-        assert hit_counters == cold_counters
+    assert hit_counters == cold_counters
 
 
 class TestCacheEquivalence:
@@ -158,7 +153,7 @@ class TestPublicKeyEquivalence:
             sig = schnorr_sign(key, message)
             return key.y, sig, schnorr_verify(key.group, key.y, message, sig)
 
-        assert_equivalent(op, warm_runs=2)
+        assert_equivalent(op)
         assert op()[2] is True
 
     @PK_SETTINGS
@@ -178,7 +173,7 @@ class TestPublicKeyEquivalence:
                 schnorr_verify(key.group, 1, message, sig),
             )
 
-        assert_equivalent(op, warm_runs=2)
+        assert_equivalent(op)
         assert op() == (False, False, False, False)
 
     @PK_SETTINGS
@@ -190,7 +185,7 @@ class TestPublicKeyEquivalence:
             b = dh.generate_keypair(dh.MODP_1024, rng)
             return dh.shared_secret(a, b.public), dh.shared_secret(b, a.public)
 
-        assert_equivalent(op, warm_runs=2)
+        assert_equivalent(op)
         left, right = op()
         assert left == right
 

@@ -98,7 +98,7 @@ EDGE_CASES = [
 
 
 class TestModexpMatchesPow:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         base=st.integers(min_value=-50, max_value=2**80),
         exps=st.lists(
