@@ -33,14 +33,5 @@ def test_perf_fastpaths(once, benchmark):
         assert entry["speedup"] >= 1.0, f"{name}: cached path slower than cold"
 
 
-def test_perf_ablation_grid(once, benchmark):
-    doc = once(lambda: perfbench.run_ablation(smoke=True, workers_grid=[1, 2]))
-    assert perfbench.validate_perf(doc) == []
-    emit(perfbench.format_perf(doc))
-    for cell in doc["cells"]:
-        key = f"caches_{'on' if cell['caches'] else 'off'}_workers_{cell['workers']}"
-        benchmark.extra_info[key] = cell["seconds"]
-
-
 if __name__ == "__main__":
     sys.exit(perfbench.main())

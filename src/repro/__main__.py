@@ -17,11 +17,10 @@ Usage::
         [--format json|folded|prom] [--out DIR]
     python -m repro load routing    # deterministic open-loop load run
         [--clients N] [--shards S] [--batch K] [--seed N] [--out FILE]
-        [--workers W]               # parallel replay, byte-identical output
         [--cohorts]                 # cohort tier: fold repeat dispatches
         [--regions R] [--ases N]    # two-level shard tree over N ASes
     python -m repro bench           # wall-clock perf benchmark
-        [--smoke] [--repeat N] [--ablation] [--ablation-kernel] [--out FILE]
+        [--smoke] [--repeat N] [--ablation-kernel] [--out FILE]
         [--track] [--history FILE] [--window N]
     python -m repro health routing  # metrics + SLO health verdict
         [--seed N] [--clients N] [--shards S] [--batch K]
@@ -44,10 +43,9 @@ over the ``--ases``-sized generated Internet topology.
 (crypto caches disabled) and warm (caches enabled) in the same
 process and writes ``BENCH_perf.json`` with medians and speedups,
 plus the bench-kernel section timing the fast event kernel against the
-frozen reference scheduler (``--ablation`` runs the A12 caches ×
-workers grid instead; ``--ablation-kernel`` the A13 kernel ×
-burst-charging grid).  Wall seconds never feed back into any modeled
-number.
+frozen reference scheduler (``--ablation-kernel`` runs the A13 kernel ×
+burst-charging grid instead).  Wall seconds never feed back into any
+modeled number.
 
 ``trace`` runs one scenario with the span tracer attached, asserts the
 trace reconciles exactly against the cost accountants, and writes the
@@ -142,21 +140,7 @@ def _load(args) -> None:
     shards = args.shards if args.shards is not None else 1
     batch = args.batch if args.batch is not None else 1
     n_ases = args.ases if args.ases is not None else 24
-    if args.workers is not None:
-        from repro.load.parallel import run_load_parallel
-
-        result = run_load_parallel(
-            args.scenario,
-            n_clients=clients,
-            n_shards=shards,
-            batch=batch,
-            seed=args.seed,
-            workers=args.workers,
-            n_ases=n_ases,
-            cohorts=args.cohorts,
-            regions=args.regions,
-        )
-    elif args.cohorts:
+    if args.cohorts:
         from repro.load.cohorts import run_load_cohorts
 
         result = run_load_cohorts(
@@ -201,8 +185,6 @@ def _bench(args) -> None:
 
     if args.ablation_kernel:
         doc = perfbench.run_kernel_ablation(smoke=args.smoke, repeats=args.repeat)
-    elif args.ablation:
-        doc = perfbench.run_ablation(smoke=args.smoke)
     else:
         doc = perfbench.run_perf(smoke=args.smoke, repeats=args.repeat)
     problems = perfbench.validate_perf(doc)
@@ -343,8 +325,11 @@ def _trace(
 
 
 def main(argv=None) -> int:
+    # No prefix matching: a retired flag such as ``bench --ablation``
+    # must fail instead of silently meaning ``--ablation-kernel``.
     parser = argparse.ArgumentParser(
         prog="python -m repro",
+        allow_abbrev=False,
         description=(
             "Reproduce the evaluation of 'A First Step Towards Leveraging "
             "Commodity TEEs for Network Applications' (HotNets 2015)."
@@ -388,13 +373,6 @@ def main(argv=None) -> int:
              "(default: 1 for load; 8 for health)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="load: replay the dispatch plan across N worker processes "
-             "(byte-identical to the serial engine; default: serial)",
-    )
-    parser.add_argument(
         "--cohorts",
         action="store_true",
         help="load/health: fold statistically identical clients into "
@@ -432,11 +410,6 @@ def main(argv=None) -> int:
         type=int,
         default=3,
         help="bench: timing repeats per scenario arm (default: 3)",
-    )
-    parser.add_argument(
-        "--ablation",
-        action="store_true",
-        help="bench: run the A12 caches x workers ablation grid instead",
     )
     parser.add_argument(
         "--ablation-kernel",
@@ -528,12 +501,12 @@ def main(argv=None) -> int:
     if args.smoke and args.experiment not in ("bench", "epcstress"):
         parser.error("--smoke only applies to 'bench' and 'epcstress'")
     if args.experiment != "bench" and (
-        args.ablation or args.ablation_kernel or args.track
+        args.ablation_kernel or args.track
     ):
-        parser.error("--ablation/--track only apply to 'bench'")
+        parser.error("--ablation-kernel/--track only apply to 'bench'")
     if args.frames is not None and args.experiment != "epcstress":
         parser.error("--frames only applies to 'epcstress'")
-    if args.track and (args.ablation or args.ablation_kernel):
+    if args.track and args.ablation_kernel:
         parser.error("--track needs the default bench report, not an ablation")
     if args.fault is not None and args.experiment != "health":
         parser.error("--fault only applies to 'health'")

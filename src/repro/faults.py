@@ -232,9 +232,8 @@ class FaultPlan:
         """True when no rule can ever fire again (every cap is spent).
 
         Only capped rules can exhaust; any uncapped rule keeps the plan
-        live forever.  The parallel load runner uses this to downgrade
-        fault-forwarding of foreign dispatches to cheap channel
-        fast-forwarding once all deterministic faults have fired —
+        live forever.  The cohort cache reads this to resume replaying
+        dispatches once all deterministic faults have fired —
         ``decide`` is then a guaranteed no-op that consumes no RNG.
         """
         for index, rule in enumerate(self.rules):

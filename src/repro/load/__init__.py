@@ -18,15 +18,12 @@ Modules:
 * :mod:`repro.load.cohorts` — the cohort tier: statistically identical
   clients fold through a dispatch-replay cache, byte-identical to the
   per-client engine at million-client populations;
-* :mod:`repro.load.parallel` — multi-process replay of the dispatch
-  plan, byte-identical to the serial engine at any worker count;
 * :mod:`repro.load.report`  — the ``BENCH_load.json`` writer/validator.
 """
 
 from repro.load.clients import ClientEvent, generate_events, iter_events
 from repro.load.cohorts import run_load_cohorts
 from repro.load.engine import LoadEngine, LoadResult, run_load_engine
-from repro.load.parallel import run_load_parallel
 from repro.load.report import bench_json, validate_bench
 from repro.load.shards import ShardedRoutingDeployment
 
@@ -38,7 +35,6 @@ __all__ = [
     "LoadResult",
     "run_load_engine",
     "run_load_cohorts",
-    "run_load_parallel",
     "bench_json",
     "validate_bench",
     "ShardedRoutingDeployment",

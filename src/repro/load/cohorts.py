@@ -18,7 +18,8 @@ Correctness of the cache rests on three properties the repo already
 pins elsewhere:
 
 * dispatch charges are position-independent given channel keystream
-  leftovers (the parallel runner's byte-identity tests);
+  leftovers (``TestLockstep`` and ``TestRandomizedEquivalence`` in the
+  equivalence suite);
 * ``charge_burst`` is exactly equivalent to itemized charging,
   including what a tracer observes (the accountant tests);
 * an exhausted fault plan's ``decide`` is a pure no-op, so caching is
@@ -284,7 +285,7 @@ def run_load_cohorts(
         n_events = default_n_events(scenario, n_clients)
     backend = make_backend(scenario, n_shards, batch, n_ases, seed, regions)
     dispatcher = backend
-    if scenario == "routing" and getattr(backend, "parallel_safe", False):
+    if scenario == "routing" and regions is None:
         dispatcher = _CohortCache(backend)
     tap = FingerprintTap(
         iter_events(scenario, n_clients, n_events, backend.keys(), seed)

@@ -21,7 +21,6 @@ The queueing model is open-loop with per-server busy clocks:
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,7 +38,6 @@ __all__ = [
     "run_load_engine",
     "make_backend",
     "plan_dispatches",
-    "population_keys",
     "default_n_events",
 ]
 
@@ -137,9 +135,8 @@ def plan_dispatches(
 
     A pure function of the event log — exactly the flush order
     :class:`LoadEngine` executes (batch-full flushes as events stream
-    in, then leftover slots in sorted order).  The parallel runner
-    partitions this plan across workers and the replay merge re-walks
-    it, so it must stay the single source of dispatch order.
+    in, then leftover slots in sorted order).  The cohort tier's
+    streaming fold must flush in this same order.
     """
     plan: List[Tuple[int, List[ClientEvent]]] = []
     queues: Dict[int, List[ClientEvent]] = {}
@@ -158,11 +155,6 @@ class _RoutingBackend:
     """Full-fidelity backend: the sharded controller enclaves."""
 
     scenario = "routing"
-    #: Dispatch charges are interleaving-independent (fixed-size seq
-    #: headers, length-based serialization costs, read-only lookups,
-    #: idempotent re-registration), so disjoint dispatch subsets on
-    #: seed-identical replicas sum to the serial totals.
-    parallel_safe = True
 
     def __init__(
         self,
@@ -179,13 +171,6 @@ class _RoutingBackend:
             batch=batch,
             regions=regions,
         )
-        #: The two-level tree relays through region heads, so a
-        #: dispatch's charges depend on head liveness and relay-channel
-        #: positions — not interleaving-independent; and skip_dispatch's
-        #: flat session model does not apply.  Both the parallel runner
-        #: and the cohort cache check this instance attribute.
-        if regions is not None:
-            self.parallel_safe = False
         before = self._cycles()
         self.dep.register_all()
         self.dep.seal()
@@ -212,18 +197,18 @@ class _RoutingBackend:
     def skip_dispatch(
         self, slot: int, events: Sequence[ClientEvent], index: int
     ) -> None:
-        """Advance channel state past a dispatch another worker runs.
+        """Advance channel state past a dispatch that is not executed.
 
         The inter-shard record channels are stateful: sequence numbers
         and the CTR keystream position advance with every record, and
         leftover keystream straddles records (so a dispatch's AES block
-        count depends on the bytes sent before it).  A worker replaying
-        a plan *subset* reproduces the serial run's exact charges by
-        fast-forwarding the skipped dispatches' channel traffic —
+        count depends on the bytes sent before it).  The cohort cache
+        replays a dispatch from its stored charges and calls this to
+        move the channels exactly as executing it would have —
         sequence bumps plus keystream consumption for the records the
-        skipped dispatch would have exchanged — without executing them
-        and without charging anything (every record length here is a
-        pure function of the replica's own frozen RIB).
+        dispatch would have exchanged — without charging anything
+        (every record length here is a pure function of the
+        deployment's frozen RIB).
         """
         from repro.crypto.cache import _ChargeRecorder
         from repro.net.channel import encode_record_batch
@@ -295,93 +280,6 @@ class _RoutingBackend:
             sender._send_stream.keystream(plaintext_len)
             receiver._recv_stream.keystream(plaintext_len)
 
-    def dead_shards(self) -> List[int]:
-        """Shard ids that have crashed so far (for the parallel merge)."""
-        return sorted(self.dep.dead)
-
-    @contextlib.contextmanager
-    def _uncharged(self):
-        """Run a dispatch without charging or tracing anything.
-
-        Disables every shard accountant, detaches their tracers and
-        clears the active tracer, so a foreign dispatch replayed for
-        its *state effects* (crash decisions, channel positions,
-        program-internal stats) leaves zero footprint in this worker's
-        counters and trace — the worker that owns the dispatch measures
-        it instead.
-        """
-        from repro.cost import accountant as accountant_mod
-
-        accts = list(self.dep.accountants().values())
-        prior = [(acct.enabled, acct.tracer) for acct in accts]
-        prior_tracer = accountant_mod.set_active_tracer(None)
-        for acct in accts:
-            acct.enabled = False
-            acct.tracer = None
-        try:
-            yield
-        finally:
-            accountant_mod.set_active_tracer(prior_tracer)
-            for acct, (enabled, tracer) in zip(accts, prior):
-                acct.enabled = enabled
-                acct.tracer = tracer
-
-    def fault_forward(
-        self, slot: int, events: Sequence[ClientEvent], index: int
-    ) -> Optional[Dict[int, Dict[str, int]]]:
-        """Replay a dispatch owned by another worker under a fault plan.
-
-        Crash decisions are plan-order-dependent: whether dispatch N
-        crashes a shard depends on how many faults fired before it.  A
-        worker under an active (deterministic, capped) plan therefore
-        *executes* foreign dispatches for real — uncharged and
-        untraced — so its replica's fault state, shard ownership and
-        channel positions evolve exactly as in the serial run.  Once
-        the plan is exhausted no decision can fire again and the cheap
-        channel fast-forward suffices.
-
-        Returns the program-internal stat deltas ("ghost stats") the
-        uncharged execution caused, which the parent subtracts so each
-        dispatch's stats are counted exactly once (by its owner).
-        """
-        from repro import faults as faults_mod
-
-        if self._lost:
-            # The serial run's dispatch is a pure bookkeeping failure
-            # here — no enclave, channel or plan state moves.
-            return None
-        plan = faults_mod.current_plan()
-        if plan is None or plan.exhausted():
-            self.skip_dispatch(slot, events, index)
-            return None
-        with self._uncharged():
-            before = self.dep.shard_stats()
-            self.dispatch(slot, events, index)
-            after = self.dep.shard_stats()
-        ghost: Dict[int, Dict[str, int]] = {}
-        for shard_id, stats in after.items():
-            base = before.get(shard_id, {})
-            delta = {
-                field: value - base.get(field, 0)
-                for field, value in stats.items()
-                if value - base.get(field, 0)
-            }
-            if delta:
-                ghost[shard_id] = delta
-        return ghost
-
-    def rebase_steady(self) -> None:
-        """Restart the steady-counter window at the current totals.
-
-        The parallel runner reads base shard stats (charged ecalls)
-        before replaying its plan slice; rebasing afterwards keeps the
-        steady window serving-only, as in the serial run.
-        """
-        self._snapshots = {
-            shard_id: acct.snapshot()
-            for shard_id, acct in self.dep.accountants().items()
-        }
-
     def steady_counters(self) -> Dict[str, int]:
         total: Dict[str, int] = {}
         for shard_id, acct in self.dep.accountants().items():
@@ -423,7 +321,8 @@ class _RoutingBackend:
                 # Cycles from this dispatch's own integer counter
                 # deltas: a pure function of what the dispatch charged,
                 # independent of accumulated float totals — which makes
-                # partitioned replay byte-identical to serial.
+                # a cohort replay's stored costs byte-identical to
+                # executing the dispatch again.
                 costs = {}
                 for shard_id, acct in accountants.items():
                     model = self.dep.platforms[shard_id].model or DEFAULT_MODEL
@@ -454,10 +353,6 @@ class _TorBackend:
     """
 
     scenario = "tor"
-    #: NOT parallel-safe: consensus validity windows are coupled to the
-    #: globally accumulated simulation clock, so a dispatch's retry
-    #: behaviour depends on every dispatch before it.
-    parallel_safe = False
 
     def __init__(self, n_shards: int, batch: int, n_ases: int, seed: int) -> None:
         from repro.tor.deployment import TorDeployment, TorDeploymentConfig
@@ -540,9 +435,6 @@ class _MiddleboxBackend:
     """
 
     scenario = "middlebox"
-    #: Each dispatch is a self-contained flow seeded by its dispatch
-    #: index — no state shared between flows beyond the counters sum.
-    parallel_safe = True
 
     def __init__(self, n_shards: int, batch: int, n_ases: int, seed: int) -> None:
         self._seed = seed
@@ -562,8 +454,7 @@ class _MiddleboxBackend:
         from repro.middlebox.scenarios import MiddleboxScenario
 
         # The flow seed is the *dispatch-plan index*, which equals the
-        # serial dispatch order — workers executing disjoint plan
-        # subsets therefore build the exact flows the serial run built.
+        # dispatch order — so every engine tier builds the same flows.
         scn = MiddleboxScenario(
             n_middleboxes=1, seed=b"load-mbox-%d-%d" % (self._seed, index)
         )
@@ -665,25 +556,6 @@ def default_n_events(scenario: str, n_clients: int) -> int:
     # Full-fidelity routing serves cheap lookups; the simulator-
     # backed scenarios pay a whole network round per event.
     return n_clients if scenario == "routing" else min(n_clients, 24)
-
-
-def population_keys(scenario: str, n_ases: int, seed: int) -> List[int]:
-    """The key population a backend would expose — without building it.
-
-    Must match ``backend.keys()`` exactly (a cross-check test pins
-    this); the parallel runner uses it to generate the event log in the
-    parent process before any backend replica exists.
-    """
-    if scenario == "routing":
-        from repro.routing.deployment import build_policies
-
-        topology, _policies = build_policies(n_ases, b"load-routing-%d" % seed)
-        return sorted(topology.asns)
-    if scenario in _BACKENDS:
-        return list(range(256))
-    raise ReproError(
-        f"unknown load scenario '{scenario}' (have {', '.join(LOAD_SCENARIOS)})"
-    )
 
 
 def package_result(

@@ -326,10 +326,10 @@ _RECONCILED_FAMILIES = (
 def reconcile_metrics(registry: MetricsRegistry, tracer) -> None:
     """Assert series totals equal the accountants *exactly* (integers).
 
-    For every live attached accountant (ghosts absorbed from parallel
-    workers are ``enabled=False`` and covered by the tracer-level
-    reconcile; sources that ``reset()`` are skipped like the tracer
-    does) each Counter field must equal the registry's cumulative
+    For every live attached accountant (one left ``enabled=False``,
+    e.g. inside :func:`repro.cost.accountant.disabled`, is skipped, and
+    so are sources that ``reset()``, like the tracer does) each
+    Counter field must equal the registry's cumulative
     series for that ``(source, domain)``, and the finalized last sample
     must equal the cumulative totals.  Raises
     :class:`MetricsReconcileError` listing every mismatch.
@@ -351,9 +351,9 @@ def reconcile_metrics(registry: MetricsRegistry, tracer) -> None:
     # EPC occupancy: the epc_ewb/epc_eldu counter families must equal
     # the page caches' own eviction/reload counters, summed over every
     # cache the tracer saw — and with a single cache, the final gauges
-    # must equal its live occupancy.  Skipped when charges arrived
-    # from absorbed parallel workers or reset sources (their caches
-    # are gone, so the live sum is not the whole story).
+    # must equal its live occupancy.  Skipped while an accountant is
+    # disabled (paging done then moves the caches' counters without a
+    # matching charge) and, like the check above, for reset sources.
     epcs = list(getattr(tracer, "epcs", ()))
     all_live = all(a.enabled for a in tracer.accountants) and not tracer.reset_sources
     if epcs and all_live:

@@ -79,12 +79,6 @@ class Span:
         return sgx, normal
 
 
-def _counter_from_dict(counts: Dict[str, int]):
-    from repro.cost.accountant import Counter
-
-    return Counter(**counts)
-
-
 @dataclasses.dataclass
 class Instant:
     """A point event: crossing, AEX, switchless hit/fallback, fault, ..."""
@@ -121,8 +115,8 @@ class Tracer:
         self.accountants: List[CostAccountant] = []
         self.reset_sources: Set[str] = set()
         #: Live :class:`repro.sgx.epc.EnclavePageCache` objects created
-        #: while this tracer was active — transient (never serialized
-        #: by :meth:`to_state`), consumed by ``reconcile_metrics`` to
+        #: while this tracer was active — transient, consumed by
+        #: ``reconcile_metrics`` to
         #: hold the ``epc_*`` metric families equal to the caches'
         #: own eviction/reload counters.
         self.epcs: List[Any] = []
@@ -166,131 +160,6 @@ class Tracer:
         """Stop observing every attached accountant (used by ``tracing``)."""
         for acct in self.accountants:
             acct.tracer = None
-
-    # -- cross-process merge -------------------------------------------------
-
-    def export_state(self) -> Dict[str, Any]:
-        """Everything :meth:`absorb` needs, as picklable plain data.
-
-        A parallel load worker traces its replica with a private tracer
-        and ships this state back; the parent absorbs each worker's
-        state so ``obs.reconcile`` holds exactly on the merged trace.
-        Accountants travel as ``(name, source, {domain: counts})``
-        summaries — the parent re-materializes them as ghost
-        accountants, never live objects.
-        """
-        return {
-            "spans": list(self.spans),
-            "instants": list(self.instants),
-            "orphans": {key: list(cell) for key, cell in self.orphans.items()},
-            "reset_sources": sorted(self.reset_sources),
-            "accountants": [
-                (
-                    acct.name,
-                    acct.source,
-                    {
-                        domain: counter.as_dict()
-                        for domain, counter in acct.domains().items()
-                    },
-                )
-                for acct in self.accountants
-            ],
-            "seq": self._seq,
-            "clock_sgx": self._clock_sgx,
-            "clock_normal": self._clock_normal,
-        }
-
-    def absorb(self, state: Dict[str, Any]) -> None:
-        """Merge one worker tracer's exported state into this tracer.
-
-        Every identifier is rebased so the merged trace stays
-        internally consistent: span ids and seqs shift past this
-        tracer's own, clocks shift by this tracer's current reading,
-        and each shipped accountant becomes a *ghost*
-        :class:`CostAccountant` attached here under a fresh unique
-        source (two workers both tracing a ``shard0`` accountant must
-        not collide).  After absorbing every worker in plan order,
-        span self-counts, orphans and instant counts reconcile exactly
-        against the ghost counters — the same integer identity
-        :func:`repro.obs.reconcile` checks for a serial traced run.
-        """
-        from repro.cost.accountant import UNTRUSTED
-
-        span_base = len(self.spans)
-        seq_base = self._seq
-        sgx_base = self._clock_sgx
-        normal_base = self._clock_normal
-
-        remap: Dict[str, str] = {}
-        for name, source, domains in state["accountants"]:
-            ghost = CostAccountant.__new__(CostAccountant)
-            ghost._counters = {
-                domain: _counter_from_dict(counts)
-                for domain, counts in domains.items()
-            }
-            ghost._domain_stack = [UNTRUSTED]
-            ghost._current = None
-            ghost.enabled = False  # nothing may charge a ghost
-            ghost.name = name
-            ghost.tracer = None
-            ghost.source = source
-            self.attach(ghost)
-            remap[source] = ghost.source
-
-        def rsrc(source: str) -> str:
-            return remap.get(source, source)
-
-        for sp in state["spans"]:
-            self.spans.append(
-                dataclasses.replace(
-                    sp,
-                    span_id=sp.span_id + span_base,
-                    parent_id=(
-                        sp.parent_id + span_base
-                        if sp.parent_id is not None
-                        else None
-                    ),
-                    source=rsrc(sp.source),
-                    open_seq=sp.open_seq + seq_base,
-                    close_seq=(
-                        sp.close_seq + seq_base if sp.close_seq >= 0 else -1
-                    ),
-                    start_sgx=sp.start_sgx + sgx_base,
-                    start_normal=sp.start_normal + normal_base,
-                    end_sgx=sp.end_sgx + sgx_base if sp.end_sgx >= 0 else -1,
-                    end_normal=(
-                        sp.end_normal + normal_base if sp.end_normal >= 0 else -1
-                    ),
-                    self_counts={
-                        (rsrc(s), d): list(cell)
-                        for (s, d), cell in sp.self_counts.items()
-                    },
-                )
-            )
-        for ins in state["instants"]:
-            self.instants.append(
-                dataclasses.replace(
-                    ins,
-                    seq=ins.seq + seq_base,
-                    source=rsrc(ins.source),
-                    ts_sgx=ins.ts_sgx + sgx_base,
-                    ts_normal=ins.ts_normal + normal_base,
-                    args=dict(ins.args),
-                )
-            )
-        for (s, d), cell in state["orphans"].items():
-            key = (rsrc(s), d)
-            mine = self.orphans.get(key)
-            if mine is None:
-                self.orphans[key] = list(cell)
-            else:
-                mine[0] += cell[0]
-                mine[1] += cell[1]
-        for source in state["reset_sources"]:
-            self.reset_sources.add(rsrc(source))
-        self._seq += state["seq"]
-        self._clock_sgx += state["clock_sgx"]
-        self._clock_normal += state["clock_normal"]
 
     # -- charge / event sinks (called by CostAccountant) -------------------
 

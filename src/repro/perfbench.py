@@ -15,9 +15,6 @@ fingerprint, per-scenario medians and the speedup of warm over cold.
 The cost-model invariant is pinned elsewhere (the cache-equivalence
 tests); this harness only answers "how much wall time do the fast
 paths buy on this machine?".
-
-The A12 ablation (:func:`run_ablation`) extends the grid with the
-parallel load runner: caches on/off crossed with worker counts.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from repro.crypto import cache
 __all__ = [
     "SCHEMA",
     "run_perf",
-    "run_ablation",
     "run_kernel_bench",
     "run_kernel_ablation",
     "run_rings_section",
@@ -491,64 +487,6 @@ def run_perf(
     }
 
 
-def run_ablation(smoke: bool = True, workers_grid: Optional[List[int]] = None) -> dict:
-    """A12: caches on/off crossed with load-replay worker counts.
-
-    Every cell reruns the routing load scenario and records wall
-    seconds; the caches flag is exported through the environment so
-    forked replay workers inherit it.
-    """
-    from repro.load.parallel import run_load_parallel
-
-    workers_grid = workers_grid or [1, 2, 4]
-    n_clients = 100 if smoke else 1000
-    cells = []
-    prior_env = os.environ.get("REPRO_NO_CRYPTO_CACHE")
-    prior_enabled = cache.enabled()
-    try:
-        for caches_on in (True, False):
-            if caches_on:
-                os.environ.pop("REPRO_NO_CRYPTO_CACHE", None)
-            else:
-                os.environ["REPRO_NO_CRYPTO_CACHE"] = "1"
-            cache.configure(caches_on)
-            for workers in workers_grid:
-                cache.clear_all()
-                start = time.perf_counter()
-                result = run_load_parallel(
-                    "routing",
-                    n_clients=n_clients,
-                    n_shards=2,
-                    batch=8,
-                    seed=0,
-                    workers=workers,
-                )
-                elapsed = time.perf_counter() - start
-                cells.append(
-                    {
-                        "caches": caches_on,
-                        "workers": workers,
-                        "seconds": round(elapsed, 6),
-                        "events": result.n_events,
-                    }
-                )
-    finally:
-        if prior_env is None:
-            os.environ.pop("REPRO_NO_CRYPTO_CACHE", None)
-        else:
-            os.environ["REPRO_NO_CRYPTO_CACHE"] = prior_env
-        cache.configure(prior_enabled)
-        cache.clear_all()
-    return {
-        "schema": SCHEMA,
-        "generated_by": "python -m repro bench --ablation",
-        "smoke": smoke,
-        "env": _environment(),
-        "ablation": "A12",
-        "cells": cells,
-    }
-
-
 def run_kernel_ablation(smoke: bool = True, repeats: int = 3) -> dict:
     """A13: event kernel crossed with burst charging, on the routing load.
 
@@ -637,16 +575,11 @@ def validate_perf(doc: dict) -> List[str]:
                 problems.append(f"env.{field} missing")
     if "cells" in doc:
         cells = doc["cells"]
-        grid_fields = (
-            ("kernel", "burst_charging", "seconds")
-            if doc.get("ablation") == "A13"
-            else ("caches", "workers", "seconds")
-        )
         if not isinstance(cells, list) or not cells:
             problems.append("cells missing or empty")
         else:
             for i, cell in enumerate(cells):
-                for field in grid_fields:
+                for field in ("kernel", "burst_charging", "seconds"):
                     if field not in cell:
                         problems.append(f"cells[{i}].{field} missing")
         return problems
@@ -752,21 +685,13 @@ def format_perf(doc: dict) -> str:
         + f", fast modexp kernel: {doc['env'].get('fast_modexp_kernel')}",
         f"{'scenario':<18} {'cold (s)':>10} {'warm (s)':>10} {'speedup':>9}",
     ]
-    if doc.get("ablation") == "A13":
+    if "cells" in doc:
         lines[1] = f"{'kernel':<10} {'burst':>6} {'seconds':>10}"
         for cell in doc["cells"]:
             lines.append(
                 f"{cell['kernel']:<10} "
                 f"{'on' if cell['burst_charging'] else 'off':>6} "
                 f"{cell['seconds']:>10.3f}"
-            )
-        return "\n".join(lines)
-    if "cells" in doc:
-        lines[1] = f"{'caches':<8} {'workers':>8} {'seconds':>10}"
-        for cell in doc["cells"]:
-            lines.append(
-                f"{'on' if cell['caches'] else 'off':<8} "
-                f"{cell['workers']:>8} {cell['seconds']:>10.3f}"
             )
         return "\n".join(lines)
     for name, entry in sorted(doc["scenarios"].items()):
@@ -837,10 +762,11 @@ def format_perf(doc: dict) -> str:
 def main(argv=None) -> int:  # pragma: no cover — exercised via __main__
     import argparse
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0], allow_abbrev=False
+    )
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--ablation", action="store_true")
     parser.add_argument(
         "--ablation-kernel",
         action="store_true",
@@ -850,8 +776,6 @@ def main(argv=None) -> int:  # pragma: no cover — exercised via __main__
     args = parser.parse_args(argv)
     if args.ablation_kernel:
         doc = run_kernel_ablation(smoke=args.smoke)
-    elif args.ablation:
-        doc = run_ablation(smoke=args.smoke)
     else:
         doc = run_perf(smoke=args.smoke, repeats=args.repeat)
     problems = validate_perf(doc)

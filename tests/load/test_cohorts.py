@@ -34,7 +34,6 @@ from repro.load.engine import (
     plan_dispatches,
     run_load_engine,
 )
-from repro.load.parallel import run_load_parallel
 from repro.load.report import bench_json, validate_bench
 
 EXAMPLES = int(os.environ.get("REPRO_CONFORMANCE_EXAMPLES", "25"))
@@ -122,29 +121,6 @@ class TestPinnedGrid:
         assert_equivalent("routing", 30, 6, 1, 0, regions=3)
 
 
-class TestParallelComposition:
-    """``--workers`` and ``--cohorts`` compose byte-identically."""
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_routing_workers(self, workers):
-        serial = bench_json(run_load_engine("routing", 40, 3, 4, 1))
-        parallel = bench_json(
-            run_load_parallel(
-                "routing", 40, 3, 4, 1, workers=workers, cohorts=True
-            )
-        )
-        assert parallel == serial
-
-    def test_regions_forces_serial_cohort_fallback(self):
-        serial = bench_json(run_load_engine("routing", 30, 4, 2, 0, regions=2))
-        parallel = bench_json(
-            run_load_parallel(
-                "routing", 30, 4, 2, 0, workers=3, cohorts=True, regions=2
-            )
-        )
-        assert parallel == serial
-
-
 CONFIGS = st.fixed_dictionaries(
     {
         "scenario": st.sampled_from(["routing", "tor", "middlebox"]),
@@ -224,9 +200,8 @@ class TestAggregateResult:
 
     def test_streaming_fingerprint_matches_materialized(self):
         from repro.load.clients import event_log_fingerprint, iter_events
-        from repro.load.engine import population_keys
 
-        keys = population_keys("routing", 24, 7)
+        keys = make_backend("routing", 1, 1, 24, 7).keys()
         events = generate_events("routing", 20, 20, keys, 7)
         assert streaming_fingerprint(
             iter_events("routing", 20, 20, keys, 7)

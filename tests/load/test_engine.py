@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
+from repro import faults, obs
 from repro.errors import ReproError
 from repro.load.clients import event_log_fingerprint, generate_events
-from repro.load.engine import LOAD_SCENARIOS, run_load_engine
+from repro.load.engine import (
+    LOAD_SCENARIOS,
+    default_n_events,
+    plan_dispatches,
+    run_load_engine,
+)
 from repro.load.report import SCHEMA, bench_doc, bench_json, validate_bench
 from repro.routing.controller import InterDomainController
 from repro.routing.deployment import build_policies
@@ -59,6 +64,18 @@ class TestDeterminism:
         first = bench_json(run_load_engine("routing", **kwargs))
         second = bench_json(run_load_engine("routing", **kwargs))
         assert first == second
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bench_load_bytes_across_kernels(self, seed):
+        """BENCH_load.json is byte-identical under the fast event kernel
+        and the frozen reference scheduler."""
+        from repro.net.sim import use_kernel
+
+        kwargs = dict(n_clients=30, n_shards=2, batch=4, seed=seed)
+        fast = bench_json(run_load_engine("routing", **kwargs))
+        with use_kernel("reference"):
+            reference = bench_json(run_load_engine("routing", **kwargs))
+        assert reference == fast
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ReproError):
@@ -129,6 +146,33 @@ class TestEquivalence:
                 "routing", n_clients=8, n_shards=1, batch=1, seed=0, n_events=8
             )
         assert obs.reconcile(tracer)  # non-empty per-domain breakdown
+
+    def test_traced_fault_run_reconciles(self):
+        """A traced routing load under a shard crash serves the same
+        report bytes as the untraced run and reconciles exactly."""
+        kwargs = dict(n_clients=30, n_shards=2, batch=4, seed=0)
+        # Fresh plan per arm: plans consume decisions as they fire.
+        with faults.active(faults.matrix_plan("shard_crash", 2)):
+            untraced = bench_json(run_load_engine("routing", **kwargs))
+        plan = faults.matrix_plan("shard_crash", 2)
+        tracer = obs.Tracer()
+        with obs.tracing(tracer), faults.active(plan):
+            traced = bench_json(run_load_engine("routing", **kwargs))
+        assert len(plan.log) >= 1
+        assert traced == untraced
+        obs.reconcile(tracer)  # raises ReconcileError on any drift
+
+
+class TestPlanDispatches:
+    def test_plan_covers_every_event_once(self):
+        events = generate_events(
+            "routing", 50, default_n_events("routing", 50),
+            list(range(1, 20)), 0,
+        )
+        plan = plan_dispatches(events, n_slots=3, batch=4)
+        dispatched = [e for _, batch_events in plan for e in batch_events]
+        assert sorted(id(e) for e in dispatched) == sorted(id(e) for e in events)
+        assert all(len(batch_events) <= 4 for _, batch_events in plan)
 
 
 class TestScenarios:

@@ -209,6 +209,14 @@ class TestLoadCli:
         with pytest.raises(SystemExit):
             main(["bench", "--regions", "2"])
 
+    def test_retired_flags_rejected(self):
+        # Without prefix matching ``--ablation`` cannot silently run
+        # the ``--ablation-kernel`` grid.
+        with pytest.raises(SystemExit):
+            main(["load", "routing", "--workers", "2"])
+        with pytest.raises(SystemExit):
+            main(["bench", "--ablation"])
+
     def test_load_cohort_ablation_formats(self):
         grid = experiments.run_load_cohort_ablation(
             "routing", client_counts=(20,), shards=2, batch=2,

@@ -87,12 +87,15 @@ class TestValidatePerf:
                 "cpu_count": 1,
                 "fast_aes_kernel": False,
             },
-            "cells": [{"caches": True, "workers": 1, "seconds": 0.5}],
+            "ablation": "A13",
+            "cells": [
+                {"kernel": "fast", "burst_charging": True, "seconds": 0.5}
+            ],
         }
         assert perfbench.validate_perf(doc) == []
-        doc["cells"] = [{"caches": True}]
+        doc["cells"] = [{"kernel": "fast"}]
         problems = perfbench.validate_perf(doc)
-        assert any("workers" in p for p in problems)
+        assert any("burst_charging" in p for p in problems)
         assert any("seconds" in p for p in problems)
 
 
