@@ -213,8 +213,6 @@ class TestLoadCli:
         # Without prefix matching ``--ablation`` cannot silently run
         # the ``--ablation-kernel`` grid.
         with pytest.raises(SystemExit):
-            main(["load", "routing", "--workers", "2"])
-        with pytest.raises(SystemExit):
             main(["bench", "--ablation"])
 
     def test_load_cohort_ablation_formats(self):
